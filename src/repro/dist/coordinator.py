@@ -50,7 +50,7 @@ from urllib.parse import unquote, urlparse
 from .. import __version__
 from ..obs.metrics import METRICS
 from ..pipeline.cache import ResultCache, make_blob_store
-from ..serve.server import TOKEN_ENV, _LOOPBACK_HOSTS
+from ..serve.server import LOOPBACK_HOSTS, TOKEN_ENV, read_body
 
 __all__ = [
     "Coordinator",
@@ -371,12 +371,19 @@ class _Handler(BaseHTTPRequestHandler):
     def _error(self, code: int, message: str) -> None:
         self._json(code, {"error": message})
 
-    def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
-        return self.rfile.read(length) if length else b""
+    def _fail(self, exc: Exception) -> None:
+        """Answer a request that raised — 400 for bad input, else 500; one
+        bad request must not kill the handler thread."""
+        try:
+            if isinstance(exc, ValueError):
+                self._error(400, str(exc))
+            else:
+                self._error(500, f"{type(exc).__name__}: {exc}")
+        except OSError:
+            pass
 
     def _read_json(self) -> Any:
-        raw = self._read_body()
+        raw = read_body(self)
         if not raw:
             return {}
         try:
@@ -428,11 +435,8 @@ class _Handler(BaseHTTPRequestHandler):
                     return self._error(404, f"no blob {parts[2]!r}")
                 return self._send(200, data, "application/octet-stream")
             return self._error(404, f"unknown path {self.path!r}")
-        except Exception as exc:  # one bad request must not kill the thread
-            try:
-                self._error(500, f"{type(exc).__name__}: {exc}")
-            except OSError:
-                pass
+        except Exception as exc:
+            self._fail(exc)
 
     def do_PUT(self) -> None:  # noqa: N802
         try:
@@ -440,14 +444,11 @@ class _Handler(BaseHTTPRequestHandler):
             if len(parts) == 3 and parts[:2] == ["api", "blobs"]:
                 if not self._authorized():
                     return
-                self.server.core.blobs.put(parts[2], self._read_body())
+                self.server.core.blobs.put(parts[2], read_body(self))
                 return self._json(200, {"ok": True})
             return self._error(404, f"unknown path {self.path!r}")
         except Exception as exc:
-            try:
-                self._error(500, f"{type(exc).__name__}: {exc}")
-            except OSError:
-                pass
+            self._fail(exc)
 
     def do_POST(self) -> None:  # noqa: N802
         try:
@@ -517,16 +518,8 @@ class _Handler(BaseHTTPRequestHandler):
                 threading.Thread(target=self.server.shutdown, daemon=True).start()
                 return
             return self._error(404, f"unknown path {self.path!r}")
-        except ValueError as exc:
-            try:
-                self._error(400, str(exc))
-            except OSError:
-                pass
         except Exception as exc:
-            try:
-                self._error(500, f"{type(exc).__name__}: {exc}")
-            except OSError:
-                pass
+            self._fail(exc)
 
 
 def start_in_thread(
@@ -542,7 +535,7 @@ def start_in_thread(
     """A coordinator on a daemon thread; ``port=0`` picks a free port."""
     if token is None:
         token = os.environ.get(TOKEN_ENV) or None
-    if host not in _LOOPBACK_HOSTS and not token:
+    if host not in LOOPBACK_HOSTS and not token:
         raise RuntimeError(
             f"refusing to bind {host!r} without authentication; set "
             f"{TOKEN_ENV} (or pass token=) to expose the coordinator beyond "
@@ -590,7 +583,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     token = os.environ.get(TOKEN_ENV) or None
-    if args.host not in _LOOPBACK_HOSTS and not token:
+    if args.host not in LOOPBACK_HOSTS and not token:
         parser.error(
             f"refusing to bind {args.host!r} without authentication; set "
             f"{TOKEN_ENV} to expose the coordinator beyond loopback"

@@ -11,10 +11,10 @@ and are rebuilt through :func:`repro.serve.server.build_experiment_spec`
 the submitter's. That is the whole bit-identity story: a worker on another
 host derives exactly the seed a local executor would have.
 
-Task *keys* reuse the in-flight claim book's namespacing (`job_hash` for
-jobs, ``hw:<stage_hash>`` for hardware stages), so the coordinator's
-fleet-wide claims speak the same addresses the in-process
-``_InflightBook`` does.
+Task *keys* are :func:`~repro.pipeline.runner.task_key` (``job_hash`` for
+jobs, ``hw:<stage_hash>`` for hardware stages) — the one definition the
+in-process claim book uses too, so the coordinator's fleet-wide claims speak
+the same addresses. It is re-exported here for the dist wire's callers.
 
 An *outcome* is the JSON shadow of :class:`~repro.pipeline.executor.JobOutcome`
 minus the job object itself (the collector re-attaches its own): metrics or
@@ -25,10 +25,10 @@ so ``repro-sweep report`` attributes fleet work per worker.
 from __future__ import annotations
 
 from dataclasses import asdict
-from typing import Any, Dict, Union
+from typing import Any, Dict
 
 from ..pipeline.executor import JobOutcome
-from ..pipeline.runner import _HwStageTask, execute_job, _hw_stage_kernel
+from ..pipeline.runner import Task, _HwStageTask, _hw_stage_kernel, execute_job, task_key
 from ..pipeline.spec import Job
 
 __all__ = [
@@ -39,17 +39,6 @@ __all__ = [
     "kernel_for",
     "task_key",
 ]
-
-Task = Union[Job, _HwStageTask]
-
-
-def task_key(task: Task) -> str:
-    """The task's fleet-wide claim/dedup address (the in-flight book's
-    namespacing: job hashes bare, hardware stages ``hw:``-prefixed)."""
-    if isinstance(task, _HwStageTask):
-        return f"hw:{task.stage_hash}"
-    return task.job_hash
-
 
 def encode_task(task: Task) -> Dict[str, Any]:
     if isinstance(task, _HwStageTask):

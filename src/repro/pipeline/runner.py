@@ -28,7 +28,9 @@ is cached under a content hash of its actual inputs (arch + knobs + the
 lifted layer statistics), which is seed-free because quantization is
 deterministic: differently-seeded codesign sweeps share hw-stage cells.
 Stage reuse is reported in ``SweepResult.telemetry`` as
-``quant_stage_hits`` / ``hw_stage_hits``.
+``quant_stage_hits`` / ``hw_stage_hits``. Whole jobs and hardware stages
+are both dispatchable :data:`Task`\\ s addressed by :func:`task_key`, so
+the scheduler claims, dispatches and settles every stage with one loop.
 """
 
 from __future__ import annotations
@@ -37,22 +39,23 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..obs.trace import TRACE_ENV, current_tracer, enable_tracing, set_tracer, trace
-from .cache import ResultCache
 from .executor import JobOutcome
 from .spec import HASH_VERSION, ExperimentSpec, Job, SweepSpec, _canonical
 
 __all__ = [
     "SweepResult",
+    "Task",
     "execute_job",
     "hw_stage_hash",
     "resolve_metric",
     "run_codesign_job",
     "run_sweep",
+    "task_key",
 ]
 
 
@@ -149,19 +152,15 @@ def _run_hw_stage(job: Job, layers: Dict[str, Any]) -> Dict[str, Any]:
         )
 
 
-def run_codesign_job(
-    job: Job, quant_metrics: Optional[Dict[str, Any]] = None
-) -> Dict[str, Any]:
+def run_codesign_job(job: Job) -> Dict[str, Any]:
     """The codesign kernel, inline: quantize → lift → simulate → merge.
 
-    A pure function of the job (given ``quant_metrics``, of the stage
-    result, which is itself pure), so codesign jobs cache and parallelize
-    like everything else; :func:`run_sweep` calls the same stage functions
-    through its staged scheduler instead, to share stage results across
-    jobs and sweeps.
+    A pure function of the job, so codesign jobs cache and parallelize like
+    everything else; :func:`run_sweep` runs the same stage functions as
+    separate scheduler tasks instead, to share stage results across jobs
+    and sweeps.
     """
-    if quant_metrics is None:
-        quant_metrics = _quant_stage_metrics(job.quant_stage())
+    quant_metrics = _quant_stage_metrics(job.quant_stage())
     with trace("stage:lift", family=job.spec.family, arch=job.spec.arch):
         layers = _lift_layers(quant_metrics, job)
     return _merge_codesign(job, quant_metrics, _run_hw_stage(job, layers))
@@ -457,9 +456,6 @@ class _HwStageTask:
     def label(self) -> str:
         return f"{self.job.label} [hw stage]"
 
-    def layer_dict(self) -> Dict[str, Dict[str, Any]]:
-        return {name: dict(stats) for name, stats in self.layers}
-
     @staticmethod
     def pack_layers(layers: Dict[str, Any]) -> Tuple:
         return tuple(
@@ -468,47 +464,21 @@ class _HwStageTask:
 
 
 def _hw_stage_kernel(task: _HwStageTask) -> Dict[str, Any]:
-    return _run_hw_stage(task.job, task.layer_dict())
+    return _run_hw_stage(task.job, {name: dict(stats) for name, stats in task.layers})
 
 
-class _StageBook:
-    """Bookkeeping for the codesign stage graph inside one sweep run."""
+#: What the scheduler dispatches: a whole job or a codesign hardware stage.
+Task = Union[Job, _HwStageTask]
 
-    def __init__(self, cache: Optional[ResultCache], recompute: bool):
-        self.cache = cache
-        self.recompute = recompute
-        self.quant_results: Dict[str, Dict[str, Any]] = {}
-        self.quant_errors: Dict[str, Dict[str, str]] = {}
-        self.quant_spans: Dict[str, Dict[str, Any]] = {}
-        self.quant_stage_hits = 0
-        self.hw_stage_hits = 0
 
-    def lookup_quant(self, qjob: Job) -> Optional[Dict[str, Any]]:
-        """A usable cached quant-stage result (must carry the lift)."""
-        if self.cache is None or self.recompute:
-            return None
-        record = self.cache.get(qjob.job_hash)
-        metrics = (record or {}).get("metrics")
-        if metrics and metrics.get("layers"):
-            return metrics
-        return None  # pre-lift records recompute (and refresh) the stage
-
-    def lookup_hw(self, hh: str) -> Optional[Dict[str, Any]]:
-        if self.cache is None or self.recompute:
-            return None
-        return ((self.cache.get(hh) or {}).get("metrics")) or None
-
-    def store_hw(self, hh: str, job: Job, metrics: Dict[str, Any], seconds: float) -> None:
-        if self.cache is not None:
-            self.cache.put(
-                hh,
-                {
-                    "stage": "codesign-hw",
-                    "label": f"{job.label} [hw stage]",
-                    "metrics": metrics,
-                    "seconds": seconds,
-                },
-            )
+def task_key(task: Task) -> str:
+    """A task's claim/dedup address: a job's hash, or ``hw:<stage_hash>``
+    for a hardware stage (job and stage addresses live in different
+    namespaces). The scheduler's in-flight book and the ``repro-dist``
+    coordinator both claim work under it."""
+    if isinstance(task, _HwStageTask):
+        return f"hw:{task.stage_hash}"
+    return task.job_hash
 
 
 def run_sweep(
@@ -518,18 +488,17 @@ def run_sweep(
     workers: Optional[int] = None,
     progress: bool = False,
     recompute: bool = False,
-    kernel: Callable[[Job], Dict[str, Any]] = execute_job,
     trace: Optional[bool] = None,
 ) -> SweepResult:
     """Run every job of ``sweep``, computing only what the cache lacks.
 
-    Codesign jobs run as a two-phase stage graph: phase 1 computes every
-    pending accuracy/hardware job *plus* the quant stages codesign jobs
-    still need (deduplicated — a codesign sweep over settings an accuracy
+    Codesign jobs run as stages: their quant stages go out with the other
+    pending jobs (deduplicated — a codesign sweep over settings an accuracy
     sweep already cached reuses those cells, counted in
-    ``telemetry["quant_stage_hits"]``); phase 2 simulates the lifted
-    hardware stages (cached by stage content, seed-free —
-    ``telemetry["hw_stage_hits"]``) and merges.
+    ``telemetry["quant_stage_hits"]``), then the lifted hardware stages
+    (cached by stage content, seed-free — ``telemetry["hw_stage_hits"]``)
+    run and merge. A codesign job's ``seconds`` cover the stages computed
+    for it.
 
     When a cache directory is given, every run appends one record — spec
     digest, per-job outcomes, counter delta, span tree when traced — to the
@@ -545,9 +514,6 @@ def run_sweep(
         workers: pool width (defaults to the usable CPU count).
         progress: print a live ticker to stderr.
         recompute: ignore cached entries (but still refresh them on disk).
-        kernel: job function — override for testing only (a custom kernel
-            also disables stage decomposition; codesign jobs then run
-            through it whole).
         trace: ``True`` enables span tracing for this sweep (and exports
             ``REPRO_TRACE=1`` so pool workers join in), ``False`` disables
             it, ``None`` (default) keeps whatever
@@ -568,7 +534,7 @@ def run_sweep(
 
         return SweepScheduler(
             cache_dir=cache_dir, executor=executor, workers=workers
-        ).run(sweep, progress=progress, recompute=recompute, kernel=kernel)
+        ).run(sweep, progress=progress, recompute=recompute)
     finally:
         if trace is not None:
             set_tracer(prev_tracer)
@@ -576,42 +542,3 @@ def run_sweep(
                 os.environ.pop(TRACE_ENV, None)
             else:
                 os.environ[TRACE_ENV] = prev_env
-
-
-def _codesign_span_tree(
-    job: Job,
-    book: _StageBook,
-    lift_span: Optional[Dict[str, Any]],
-    hw_span: Optional[Dict[str, Any]],
-) -> Optional[Dict[str, Any]]:
-    """The synthesized span tree of one *staged* codesign job.
-
-    The staged scheduler runs the job's stages in different places (phase 1
-    pool, the runner thread, phase 2 pool), so no single capture saw the
-    whole job; this stitches the stage captures back into one ``job`` node
-    whose total is exactly the sum of its stage children — stages served
-    from cache simply have no child here.
-    """
-    children: List[Dict[str, Any]] = []
-    qspan = book.quant_spans.get(job.quant_stage().job_hash)
-    if qspan:
-        kids = qspan.get("children") or []
-        children.extend(kids or [dict(qspan, name="stage:quant")])
-    if lift_span:
-        children.append(lift_span)
-    if hw_span:
-        kids = hw_span.get("children") or []
-        children.extend(kids or [dict(hw_span, name="stage:hw")])
-    if not children:
-        return None
-    return {
-        "name": "job",
-        "attrs": {
-            "label": job.label,
-            "hash": job.job_hash,
-            "kind": "codesign",
-            "staged": True,
-        },
-        "seconds": round(sum(float(c.get("seconds", 0.0)) for c in children), 6),
-        "children": children,
-    }

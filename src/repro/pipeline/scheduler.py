@@ -9,17 +9,23 @@ queue, and hands each client a :class:`SweepHandle` carrying live job
 states, a progress-event log for SSE subscribers, cancellation, and the
 eventual :class:`~repro.pipeline.runner.SweepResult`.
 
+**One loop for every stage.** A submission runs in waves of tasks: first
+its pending jobs plus the quant stages its codesign jobs still need, then
+the lifted hardware stages. Each wave is the same claim → dispatch →
+settle loop over :data:`~repro.pipeline.runner.Task`\\ s, addressed by
+:func:`~repro.pipeline.runner.task_key` (a job hash, or ``hw:<stage
+hash>``).
+
 **Cross-submission in-flight dedup.** The content hashes that make the
 result cache safe to share across processes also make *concurrent*
-submissions safe to share work: before dispatching its pool, a submission
-claims every pending job hash (and, in phase 2, every pending hw-stage
-hash) in the scheduler's in-flight book. The first claimant owns the
-computation; later claimants attach to the owner's future and settle the
-outcome without recomputing — counted in ``pipeline.inflight_dedup`` and
-``telemetry["inflight_dedup"]``. If an owner abandons a claim (cancelled or
-crashed mid-sweep), attached submissions re-claim and compute the job
-themselves, so dedup never turns one client's cancellation into another's
-failure.
+submissions safe to share work: before dispatching a wave, a submission
+claims every task's key in the scheduler's in-flight book. The first
+claimant owns the computation; later claimants attach to the owner's future
+and settle the outcome without recomputing — counted in
+``pipeline.inflight_dedup`` and ``telemetry["inflight_dedup"]``. If an owner
+abandons a claim (cancelled or crashed mid-sweep), attached submissions
+re-claim and compute the task themselves, so dedup never turns one client's
+cancellation into another's failure.
 
 Everything here is stdlib + the existing pipeline machinery — the executor
 pools, stage graph, result cache, metrics registry, and run ledger are the
@@ -46,14 +52,14 @@ from .executor import JobOutcome, _call, make_executor
 from .progress import ProgressTracker, default_stream
 from .runner import (
     SweepResult,
+    Task,
     _HwStageTask,
-    _StageBook,
-    _codesign_span_tree,
     _hw_stage_kernel,
     _lift_layers,
     _merge_codesign,
     execute_job,
     hw_stage_hash,
+    task_key,
 )
 from .spec import ExperimentSpec, Job, SweepSpec
 
@@ -64,9 +70,7 @@ __all__ = [
     "sweep_digest",
 ]
 
-#: Handle states, in lifecycle order. ``done``/``failed``/``cancelled`` are
-#: terminal.
-SWEEP_STATES = ("queued", "running", "done", "failed", "cancelled")
+#: A handle moves queued → running → one of these terminal states.
 TERMINAL_STATES = ("done", "failed", "cancelled")
 
 
@@ -90,11 +94,10 @@ class _JobFuture:
     waiters must then re-claim and compute themselves.
     """
 
-    __slots__ = ("outcome", "abandoned", "_event")
+    __slots__ = ("outcome", "_event")
 
     def __init__(self) -> None:
         self.outcome: Optional[JobOutcome] = None
-        self.abandoned = False
         self._event = threading.Event()
 
     @property
@@ -139,9 +142,7 @@ class _InflightBook:
         with self._lock:
             if self._futures.get(key) is fut:
                 del self._futures[key]
-        if not fut.done:
-            fut.abandoned = True
-            fut._event.set()
+        fut._event.set()  # outcome stays None: waiters re-claim
 
     def __len__(self) -> int:
         with self._lock:
@@ -173,8 +174,9 @@ class SweepHandle:
         self.created_at = time.time()
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None
-        #: Set once the submission has registered all its in-flight claims —
-        #: after this, an overlapping submission is guaranteed to dedup.
+        #: Set once the submission's first wave with work has placed its
+        #: in-flight claims (or on finishing) — after this, an overlapping
+        #: submission is guaranteed to dedup on that wave's tasks.
         self.claimed = threading.Event()
         #: Set on entering a terminal state.
         self.finished = threading.Event()
@@ -271,10 +273,6 @@ class SweepHandle:
             {"hash": j.job_hash, "label": j.label, "state": states[j.job_hash]}
             for j in self.jobs
         ]
-
-    def events(self) -> List[Dict[str, Any]]:
-        with self._lock:
-            return list(self._events)
 
     def subscribe(self) -> Tuple[List[Dict[str, Any]], queue.SimpleQueue]:
         """Atomically snapshot past events and register a live queue — no
@@ -399,7 +397,6 @@ class SweepScheduler:
         executor: Optional[str] = None,
         workers: Optional[int] = None,
         recompute: bool = False,
-        kernel: Callable[[Job], Dict[str, Any]] = execute_job,
         stream: Optional[TextIO] = None,
         hold: Optional[threading.Event] = None,
     ) -> SweepHandle:
@@ -411,7 +408,6 @@ class SweepScheduler:
             "executor": executor if executor is not None else self.executor,
             "workers": workers if workers is not None else self.workers,
             "recompute": bool(recompute),
-            "kernel": kernel,
             "stream": stream,
             "hold": hold,
         }
@@ -428,7 +424,8 @@ class SweepScheduler:
         Raises the usual spec-build errors (``ValueError``/``KeyError``)
         before queueing — the service maps those to HTTP 400s. Accepts the
         per-submission options of :meth:`run` plus ``label`` and a test-only
-        ``hold`` event gating execution after in-flight claims are placed.
+        ``hold`` event gating execution once the first wave with work has
+        placed its in-flight claims.
         """
         if self._closed:
             raise RuntimeError("scheduler is closed")
@@ -443,7 +440,6 @@ class SweepScheduler:
         *,
         progress: bool = False,
         recompute: bool = False,
-        kernel: Callable[[Job], Dict[str, Any]] = execute_job,
         executor: Optional[str] = None,
         workers: Optional[int] = None,
     ) -> SweepResult:
@@ -454,7 +450,6 @@ class SweepScheduler:
             executor=executor,
             workers=workers,
             recompute=recompute,
-            kernel=kernel,
             stream=default_stream(progress),
         )
         self._run_submission(handle, reraise=True)
@@ -568,8 +563,8 @@ class SweepScheduler:
     ) -> Tuple[JobOutcome, bool]:
         """Wait for another submission's in-flight result; returns
         ``(outcome, attached)``. If the owner abandons the claim, re-claim
-        and compute here (``attached=False``) so dedup never propagates a
-        neighbor's cancellation."""
+        and ``compute`` here (``attached=False``; ``compute`` resolves the
+        new claim) so dedup never propagates a neighbor's cancellation."""
         while True:
             while not fut.wait(0.05):
                 self._check_cancel(handle)
@@ -577,9 +572,77 @@ class SweepScheduler:
                 return fut.outcome, True
             fut, owner = self._inflight.claim(key)
             if owner:
-                outcome = compute()
-                self._inflight.resolve(key, outcome)
-                return outcome, False
+                return compute(), False
+
+    def _wave(
+        self,
+        handle: SweepHandle,
+        tasks: Sequence[Task],
+        kernel: Callable[[Any], Dict[str, Any]],
+        store: Callable[[str, JobOutcome], None],
+        settle: Callable[[str, Any, JobOutcome, bool], None],
+        owned: List[Tuple[str, _JobFuture]],
+        foreign_counters: List[Dict[str, float]],
+    ) -> int:
+        """Claim, dispatch and settle one wave of tasks (jobs or hw stages).
+
+        All claims go in before any task runs, to widen the dedup window.
+        Owned tasks run through one executor; each outcome is stored (never
+        a failure: a fixed kernel should recompute it), resolved, and passed
+        to ``settle(key, task, outcome, attached)``. Attached tasks settle
+        last, recomputed here if abandoned. Returns the attached-claim count.
+        Keys are computed once per task: a job hash is a SHA-256 over the
+        canonical spec, redone on every access, and dominates warm sweeps.
+        """
+        mine: List[Task] = []
+        theirs: List[Tuple[str, Task, _JobFuture]] = []
+        for task in tasks:
+            key = task_key(task)
+            fut, owner = self._inflight.claim(key)
+            if owner:
+                mine.append(task)
+                owned.append((key, fut))
+            else:
+                theirs.append((key, task, fut))
+                METRICS.incr("pipeline.inflight_dedup")
+        if tasks:
+            handle.claimed.set()
+            hold = handle.options.get("hold")
+            if hold is not None:  # test hook: freeze here, claims placed
+                while not hold.wait(0.02):
+                    self._check_cancel(handle)
+
+        def land(key: str, outcome: JobOutcome) -> JobOutcome:
+            if outcome.ok:
+                store(key, outcome)
+            self._inflight.resolve(key, outcome)
+            return outcome
+
+        if mine:
+            executor = handle.options["executor"]
+            # One pending task can't use a pool; don't pay fork/setup.
+            name = "serial" if (executor == "auto" and len(mine) == 1) else executor
+            my_pid = f"pid-{os.getpid()}"
+            pool = make_executor(name, handle.options["workers"])
+            for outcome in pool.run(kernel, mine):
+                if outcome.counters and outcome.worker != my_pid:
+                    foreign_counters.append(outcome.counters)
+                # The executor echoes the task back (a process pool, as a
+                # pickled copy), so settle by content, never by identity.
+                key = task_key(outcome.job)
+                settle(key, outcome.job, land(key, outcome), False)
+                self._check_cancel(handle)
+
+        # Waiting after our own pool keeps this deadlock-free: owners
+        # resolve from their pool loops, which never wait on attachments.
+        for key, task, fut in theirs:
+            self._check_cancel(handle)
+            outcome, attached = self._await_future(
+                key, fut, handle,
+                compute=lambda key=key, task=task: land(key, _call(kernel, task)),
+            )
+            settle(key, task, outcome, attached)
+        return len(theirs)
 
     def _execute(self, handle: SweepHandle) -> SweepResult:
         opts = handle.options
@@ -587,7 +650,6 @@ class SweepScheduler:
         executor: str = opts["executor"]
         workers: Optional[int] = opts["workers"]
         recompute: bool = opts["recompute"]
-        kernel = opts["kernel"]
         cache = ResultCache(self.cache_dir) if self.cache_dir is not None else None
         if cache is not None:
             # Point the process-wide Hessian store's disk tier next to the
@@ -604,37 +666,57 @@ class SweepScheduler:
         tracer = current_tracer()
         started_at = time.time()
         counters_before = METRICS.snapshot()
-        my_pid = f"pid-{os.getpid()}"
         foreign_counters: List[Dict[str, float]] = []
         tracker = ProgressTracker(
             total=len(jobs),
             stream=opts.get("stream"),
             sinks=(handle._progress_sink,),
         )
-        book = _StageBook(cache, recompute)
-        staged = kernel is execute_job  # custom kernels own codesign semantics
-        inflight_attached = 0
+        outcomes: Dict[str, JobOutcome] = {}
+        # Quant-stage outcomes the codesign jobs read, by stage (= accuracy
+        # job) hash, and the seconds of stages computed only for codesign
+        # jobs — owed to the first codesign job that reads each.
+        quant: Dict[str, JobOutcome] = {}
+        owed: Dict[str, float] = {}
+        quant_stage_hits = hw_stage_hits = inflight_attached = 0
         # Claims this submission owns and must resolve or abandon:
         # (key, future) pairs. Abandoning on the way out (cancellation,
         # crash) wakes attached submissions so they re-claim and recover.
         owned: List[Tuple[str, _JobFuture]] = []
 
+        def lookup(key: str) -> Optional[Dict[str, Any]]:
+            if cache is None or recompute:
+                return None
+            return (cache.get(key) or {}).get("metrics") or None
+
+        def store_job(key: str, outcome: JobOutcome) -> None:
+            if cache is not None:
+                cache.put(key, outcome.record())
+
+        def record(h: str, outcome: JobOutcome, attached: bool = False) -> None:
+            outcomes[h] = outcome
+            tracker.update(
+                from_cache=False, ok=outcome.ok, seconds=outcome.seconds,
+                label=outcome.job.label,
+                error_type=(outcome.error or {}).get("type", ""),
+                job_hash=h, attached=attached,
+            )
+
         try:
-            outcomes: Dict[str, JobOutcome] = {}
             pending: List[Job] = []
             for job in jobs:
                 self._check_cancel(handle)
                 if cache is None or recompute:
-                    record, lookup_s = None, 0.0
+                    cached, lookup_s = None, 0.0
                 else:
                     t0 = time.perf_counter()
-                    record = cache.get(job.job_hash)
+                    cached = cache.get(job.job_hash)
                     lookup_s = time.perf_counter() - t0
-                if record is not None and record.get("metrics") is not None:
+                if cached is not None and cached.get("metrics") is not None:
                     outcomes[job.job_hash] = JobOutcome(
                         job,
-                        metrics=record["metrics"],
-                        seconds=float(record.get("seconds", 0.0)),
+                        metrics=cached["metrics"],
+                        seconds=float(cached.get("seconds", 0.0)),
                         from_cache=True,
                     )
                     tracker.update(
@@ -644,167 +726,153 @@ class SweepScheduler:
                 else:
                     pending.append(job)
 
-            codesign = [
-                j for j in pending if staged and j.spec.job_kind == "codesign"
-            ]
-            phase1 = [
-                j for j in pending if not (staged and j.spec.job_kind == "codesign")
-            ]
+            codesign = [j for j in pending if j.spec.job_kind == "codesign"]
+            plain = {j.job_hash: j for j in pending if j.spec.job_kind != "codesign"}
 
-            # Quant stages the codesign jobs need, beyond what phase 1 already
-            # runs: an identical accuracy job pending (or cached) in this very
-            # sweep serves as the stage — the content hash is the same.
-            phase1_hashes = {j.job_hash for j in phase1}
-            stage_extra: Dict[str, Job] = {}
+            # Quant stages the codesign jobs need beyond the plain jobs: an
+            # identical accuracy job pending (or cached) in this very sweep
+            # serves as the stage — the content hash is the same.
+            extra: Dict[str, Job] = {}
             for j in codesign:
                 qjob = j.quant_stage()
                 qh = qjob.job_hash
-                if qh in book.quant_results:  # claimed by an earlier codesign job
-                    book.quant_stage_hits += 1
+                if qh in quant or qh in plain or qh in extra:
+                    quant_stage_hits += 1
                     continue
-                if qh in outcomes:  # the sweep's own accuracy cell, from cache
-                    metrics = outcomes[qh].metrics
-                    if metrics and metrics.get("layers"):
-                        book.quant_results[qh] = metrics
-                        book.quant_stage_hits += 1
-                        continue
-                if qh in phase1_hashes or qh in stage_extra:
-                    # Already being computed this sweep (as the sweep's own
-                    # accuracy job, or for an earlier codesign sibling).
-                    book.quant_stage_hits += 1
-                    continue
-                cached = book.lookup_quant(qjob)
-                if cached is not None:
-                    book.quant_results[qh] = cached
-                    book.quant_stage_hits += 1
-                else:
-                    stage_extra[qh] = qjob
+                metrics = outcomes[qh].metrics if qh in outcomes else lookup(qh)
+                if metrics and metrics.get("layers"):
+                    quant[qh] = JobOutcome(qjob, metrics=metrics, from_cache=True)
+                    quant_stage_hits += 1
+                else:  # pre-lift records recompute (and refresh) the stage
+                    extra[qh] = qjob
 
-            quant_needed = {j.quant_stage().job_hash for j in codesign}
-            phase1_all = phase1 + list(stage_extra.values())
-
-            # Claim every pending job before dispatching any of them: the
-            # first claimant computes, concurrent submissions attach. Placing
-            # all claims up front maximizes the dedup window (a submission
-            # arriving mid-pool still attaches to unstarted jobs).
-            own_jobs: List[Job] = []
-            attached_jobs: List[Tuple[Job, _JobFuture]] = []
-            for job in phase1_all:
-                fut, owner = self._inflight.claim(job.job_hash)
-                if owner:
-                    own_jobs.append(job)
-                    owned.append((job.job_hash, fut))
-                else:
-                    attached_jobs.append((job, fut))
-                    inflight_attached += 1
-                    METRICS.incr("pipeline.inflight_dedup")
-            handle.claimed.set()
-
-            hold = opts.get("hold")
-            if hold is not None:  # test hook: freeze here, claims placed
-                while not hold.wait(0.02):
-                    self._check_cancel(handle)
-
-            if own_jobs:
-                # One pending job can't use a pool; don't pay fork/setup.
-                name = (
-                    "serial"
-                    if (executor == "auto" and len(own_jobs) == 1)
-                    else executor
-                )
-                pool = make_executor(name, workers)
-                for outcome in pool.run(kernel, own_jobs):
-                    h = outcome.job.job_hash
-                    if outcome.counters and outcome.worker != my_pid:
-                        foreign_counters.append(outcome.counters)
-                    # Failures are never cached: a fixed kernel or environment
-                    # should recompute them on the next sweep instead of
-                    # replaying the error.
-                    if cache is not None and outcome.ok:
-                        cache.put(h, outcome.record())
-                    self._inflight.resolve(h, outcome)
-                    if h in quant_needed:
-                        if outcome.ok:
-                            book.quant_results[h] = outcome.metrics
-                            if outcome.spans:
-                                book.quant_spans[h] = outcome.spans
-                        else:
-                            book.quant_errors[h] = outcome.error
-                    if h in phase1_hashes:
-                        outcomes[h] = outcome
-                        tracker.update(
-                            from_cache=False,
-                            ok=outcome.ok,
-                            seconds=outcome.seconds,
-                            label=outcome.job.label,
-                            error_type=(outcome.error or {}).get("type", ""),
-                            job_hash=h,
-                        )
-                    self._check_cancel(handle)
-
-            # Settle jobs served by other submissions' in-flight executions.
-            # Waiting after our own pool keeps this deadlock-free: owners
-            # resolve from their pool loops, which never wait on attachments.
-            for job, fut in attached_jobs:
-                self._check_cancel(handle)
-                outcome, was_attached = self._await_future(
-                    job.job_hash, fut, handle,
-                    compute=lambda job=job: self._compute_single(kernel, job, cache),
-                )
-                h = job.job_hash
-                if h in quant_needed:
-                    if outcome.ok:
-                        book.quant_results[h] = outcome.metrics
-                    else:
-                        book.quant_errors[h] = outcome.error
-                if h in phase1_hashes:
-                    if was_attached:
-                        # Mirror the neighbor's outcome under our own Job;
-                        # zero seconds — the work happened once, elsewhere.
-                        mirrored = JobOutcome(
-                            job,
-                            metrics=outcome.metrics,
-                            error=outcome.error,
-                            seconds=0.0,
-                            from_cache=outcome.ok,
-                        )
-                    else:
-                        mirrored = outcome
-                    outcomes[h] = mirrored
-                    tracker.update(
-                        from_cache=mirrored.from_cache and not was_attached,
-                        ok=outcome.ok,
-                        seconds=mirrored.seconds,
-                        label=job.label,
-                        error_type=(outcome.error or {}).get("type", ""),
-                        job_hash=h,
-                        attached=was_attached,
+            def settle_job(h: str, job: Job, outcome: JobOutcome, attached: bool) -> None:
+                if attached:
+                    # Mirror the neighbor's outcome under our own Job; zero
+                    # seconds — the work happened once, elsewhere.
+                    outcome = JobOutcome(
+                        job, metrics=outcome.metrics, error=outcome.error,
+                        from_cache=outcome.ok,
                     )
+                quant[h] = outcome  # any wave-1 job may be a codesign quant stage
+                if h in extra:
+                    owed[h] = outcome.seconds
+                if h in plain:
+                    record(h, outcome, attached)
 
-            if codesign:
-                self._check_cancel(handle)
-                inflight_attached += self._run_codesign_phase(
-                    handle, codesign, book, outcomes, tracker,
-                    executor, workers, foreign_counters, owned,
+            inflight_attached += self._wave(
+                handle, [*plain.values(), *extra.values()], execute_job,
+                store_job, settle_job,
+                owned, foreign_counters,
+            )
+
+            # Lift each codesign job's quant stage and serve or queue its hw
+            # stage. Jobs whose lifts land on the same stage address share
+            # one simulation, like quant stages do.
+            traced_run = tracer is not None
+            lift_spans: Dict[str, Dict[str, Any]] = {}
+            own_seconds: Dict[str, float] = {}  # quant share + lift, per job
+            sharers: Dict[str, List[Job]] = {}
+            stages: List[_HwStageTask] = []
+
+            def merge(job: Job, hw: JobOutcome, seconds: float, attached: bool) -> None:
+                h = job.job_hash
+                q = quant[job.quant_stage().job_hash]
+                if not hw.ok:
+                    return record(h, JobOutcome(
+                        job, error=dict(hw.error), seconds=seconds), attached)
+                outcome = JobOutcome(
+                    job,
+                    metrics=_merge_codesign(job, q.metrics, hw.metrics),
+                    seconds=seconds,
+                    spans=_stitch_spans(
+                        job, q.spans, lift_spans.get(h), None if attached else hw.spans,
+                    ) if traced_run else None,
                 )
+                if not attached:
+                    store_job(h, outcome)
+                record(h, outcome, attached)
+
+            for job in codesign:
+                t0 = time.perf_counter()
+                qh = job.quant_stage().job_hash
+                q, share = quant[qh], owed.pop(qh, 0.0)
+                error = q.error
+                try:
+                    layers = _lift_layers(q.metrics, job) if q.ok else {}
+                except RuntimeError as exc:
+                    error = {"type": "RuntimeError", "message": str(exc), "traceback": ""}
+                if error is not None:
+                    record(job.job_hash, JobOutcome(job, error=dict(error), seconds=share))
+                    continue
+                hh = hw_stage_hash(job.spec, layers, job.version)
+                lift_s = time.perf_counter() - t0
+                own_seconds[job.job_hash] = share + lift_s
+                if traced_run:
+                    lift_spans[job.job_hash] = {
+                        "name": "stage:lift", "seconds": round(lift_s, 6), "children": [],
+                        "attrs": {"family": job.spec.family, "arch": job.spec.arch},
+                    }
+                hw_metrics = lookup(hh)
+                if hw_metrics is not None:
+                    hw_stage_hits += 1
+                    merge(job, JobOutcome(job, metrics=hw_metrics),
+                          own_seconds[job.job_hash], attached=False)
+                    continue
+                if hh in sharers:
+                    hw_stage_hits += 1  # shares a sibling's pending simulation
+                else:
+                    sharers[hh] = []
+                    stages.append(
+                        _HwStageTask(job, hh, _HwStageTask.pack_layers(layers))
+                    )
+                sharers[hh].append(job)
+
+            def store_hw(key: str, outcome: JobOutcome) -> None:
+                if cache is not None:
+                    cache.put(outcome.job.stage_hash, {
+                        "stage": "codesign-hw",
+                        "label": outcome.job.label,
+                        "metrics": outcome.metrics,
+                        "seconds": outcome.seconds,
+                    })
+
+            def settle_hw(
+                key: str, task: _HwStageTask, outcome: JobOutcome, attached: bool
+            ) -> None:
+                owner = task.job.job_hash
+                for job in sharers[task.stage_hash]:
+                    if attached:
+                        seconds = 0.0  # the simulation ran once, elsewhere
+                    else:
+                        # Only the stage's owning job carries its seconds.
+                        h = job.job_hash
+                        seconds = own_seconds[h] + (outcome.seconds if h == owner else 0.0)
+                    merge(job, outcome, seconds, attached)
+
+            inflight_attached += self._wave(
+                handle, stages, _hw_stage_kernel, store_hw, settle_hw,
+                owned, foreign_counters,
+            )
         finally:
+            handle.claimed.set()
             for key, fut in owned:
                 if not fut.done:
                     self._inflight.abandon(key, fut)
 
         telemetry = tracker.finish()
         telemetry["executor"] = executor
-        telemetry["quant_stage_hits"] = book.quant_stage_hits
-        telemetry["hw_stage_hits"] = book.hw_stage_hits
+        telemetry["quant_stage_hits"] = quant_stage_hits
+        telemetry["hw_stage_hits"] = hw_stage_hits
         telemetry["inflight_dedup"] = inflight_attached
         telemetry["sweep_id"] = handle.sweep_id
         # Publish the sweep-level counters, then report this run's delta —
         # local activity plus whatever foreign pool workers shipped back.
         METRICS.incr("pipeline.jobs_computed", tracker.computed)
-        if book.quant_stage_hits:
-            METRICS.incr("pipeline.quant_stage_hits", book.quant_stage_hits)
-        if book.hw_stage_hits:
-            METRICS.incr("pipeline.hw_stage_hits", book.hw_stage_hits)
+        if quant_stage_hits:
+            METRICS.incr("pipeline.quant_stage_hits", quant_stage_hits)
+        if hw_stage_hits:
+            METRICS.incr("pipeline.hw_stage_hits", hw_stage_hits)
         counters = merge_deltas(METRICS.delta(counters_before), *foreign_counters)
         telemetry["counters"] = counters
         telemetry["hessian"] = {
@@ -814,23 +882,19 @@ class SweepScheduler:
                 "factorizations",
             )
         }
+        result = SweepResult(
+            jobs=jobs,
+            outcomes=[outcomes[j.job_hash] for j in jobs],
+            telemetry=telemetry,
+        )
         spans_tree = None
         if tracer is not None:
             spans_tree = {
                 "name": "sweep",
                 "attrs": {"executor": executor, "n_jobs": len(jobs)},
                 "seconds": round(time.time() - started_at, 6),
-                "children": [
-                    outcomes[j.job_hash].spans
-                    for j in jobs
-                    if outcomes[j.job_hash].spans
-                ],
+                "children": [o.spans for o in result.outcomes if o.spans],
             }
-        result = SweepResult(
-            jobs=jobs,
-            outcomes=[outcomes[j.job_hash] for j in jobs],
-            telemetry=telemetry,
-        )
         if cache is not None:
             ledger_jobs = []
             for o in result.outcomes:
@@ -861,8 +925,8 @@ class SweepScheduler:
                 "n_jobs": len(jobs),
                 "cache_hits": tracker.cache_hits,
                 "failures": tracker.failures,
-                "quant_stage_hits": book.quant_stage_hits,
-                "hw_stage_hits": book.hw_stage_hits,
+                "quant_stage_hits": quant_stage_hits,
+                "hw_stage_hits": hw_stage_hits,
                 "traced": tracer is not None,
                 "counters": counters,
                 "jobs": ledger_jobs,
@@ -875,168 +939,26 @@ class SweepScheduler:
             telemetry["run_id"] = RunLedger(cache.root / "runs").append(record)
         return result
 
-    def _compute_single(
-        self,
-        kernel: Callable[[Job], Dict[str, Any]],
-        job: Job,
-        cache: Optional[ResultCache],
-    ) -> JobOutcome:
-        """Recovery path for an abandoned claim: compute one job inline."""
-        outcome = _call(kernel, job)
-        if cache is not None and outcome.ok:
-            cache.put(job.job_hash, outcome.record())
-        return outcome
 
-    def _run_codesign_phase(
-        self,
-        handle: SweepHandle,
-        codesign: List[Job],
-        book: _StageBook,
-        outcomes: Dict[str, JobOutcome],
-        tracker: ProgressTracker,
-        executor: str,
-        workers: Optional[int],
-        foreign_counters: List[Dict[str, float]],
-        owned: List[Tuple[str, _JobFuture]],
-    ) -> int:
-        """Phase 2: lift each codesign job's quant-stage result, serve or
-        simulate its hardware stage, merge, cache, and record the outcome.
-        Returns the number of stages attached to other submissions'
-        in-flight simulations."""
-        traced_run = current_tracer() is not None
-        my_pid = f"pid-{os.getpid()}"
-        lift_spans: Dict[str, Dict[str, Any]] = {}  # by job hash
-        attached_count = 0
-
-        def settle(job: Job, outcome: JobOutcome, attached: bool = False) -> None:
-            if book.cache is not None and outcome.ok and not attached:
-                book.cache.put(job.job_hash, outcome.record())
-            outcomes[job.job_hash] = outcome
-            tracker.update(
-                from_cache=False, ok=outcome.ok, seconds=outcome.seconds,
-                label=job.label,
-                error_type=(outcome.error or {}).get("type", ""),
-                job_hash=job.job_hash,
-                attached=attached,
-            )
-
-        def fail(job: Job, error: Dict[str, str]) -> None:
-            settle(job, JobOutcome(job, error=dict(error)))
-
-        def merge(
-            job: Job,
-            hw_metrics: Dict[str, Any],
-            seconds: float,
-            hw_span: Optional[Dict[str, Any]] = None,
-            attached: bool = False,
-        ) -> None:
-            quant = book.quant_results[job.quant_stage().job_hash]
-            metrics = _merge_codesign(job, quant, hw_metrics)
-            spans = (
-                _codesign_span_tree(job, book, lift_spans.get(job.job_hash), hw_span)
-                if traced_run
-                else None
-            )
-            settle(
-                job,
-                JobOutcome(job, metrics=metrics, seconds=seconds, spans=spans),
-                attached=attached,
-            )
-
-        # Pending stages dedup in-sweep by stage hash, like quant stages do:
-        # jobs whose lifts landed on the same address share one simulation.
-        # Cross-submission, the stage hash is claimed in the in-flight book
-        # under an "hw:" prefix (job and stage addresses live in different
-        # namespaces).
-        pending_by_hash: Dict[str, List[Job]] = {}
-        tasks: List[_HwStageTask] = []
-        attached_stages: List[Tuple[_HwStageTask, _JobFuture]] = []
-        for job in codesign:
-            qh = job.quant_stage().job_hash
-            if qh in book.quant_errors:
-                fail(job, book.quant_errors[qh])
-                continue
-            quant = book.quant_results.get(qh)
-            if quant is None:  # phase 1 never produced it (shouldn't happen)
-                fail(job, {"type": "RuntimeError",
-                           "message": f"quant stage {qh} missing", "traceback": ""})
-                continue
-            t0 = time.perf_counter()
-            try:
-                layers = _lift_layers(quant, job)
-            except RuntimeError as exc:
-                fail(job, {"type": "RuntimeError", "message": str(exc),
-                           "traceback": ""})
-                continue
-            hh = hw_stage_hash(job.spec, layers, job.version)
-            if traced_run:
-                lift_spans[job.job_hash] = {
-                    "name": "stage:lift",
-                    "attrs": {"family": job.spec.family, "arch": job.spec.arch},
-                    "seconds": round(time.perf_counter() - t0, 6),
-                    "children": [],
-                }
-            hw_metrics = book.lookup_hw(hh)
-            if hw_metrics is not None:
-                book.hw_stage_hits += 1
-                merge(job, hw_metrics, seconds=0.0)
-                continue
-            sharers = pending_by_hash.setdefault(hh, [])
-            if sharers:
-                book.hw_stage_hits += 1  # shares a sibling's pending simulation
-            else:
-                task = _HwStageTask(job, hh, _HwStageTask.pack_layers(layers))
-                fut, owner = self._inflight.claim("hw:" + hh)
-                if owner:
-                    tasks.append(task)
-                    owned.append(("hw:" + hh, fut))
-                else:
-                    attached_stages.append((task, fut))
-                    attached_count += 1
-                    METRICS.incr("pipeline.inflight_dedup")
-            sharers.append(job)
-
-        if tasks:
-            name = "serial" if (executor == "auto" and len(tasks) == 1) else executor
-            pool = make_executor(name, workers)
-            for outcome in pool.run(_hw_stage_kernel, tasks):
-                task: _HwStageTask = outcome.job  # the executor echoes it back
-                if outcome.counters and outcome.worker != my_pid:
-                    foreign_counters.append(outcome.counters)
-                self._inflight.resolve("hw:" + task.stage_hash, outcome)
-                for job in pending_by_hash[task.stage_hash]:
-                    if not outcome.ok:
-                        fail(job, outcome.error)
-                    else:
-                        # Attribute the stage's seconds to the task's owning
-                        # job only (sharers get 0.0 — the work happened once).
-                        # Compare by hash: a process pool echoes back a
-                        # pickled *copy* of the task, so object identity would
-                        # attribute the time to nobody.
-                        is_owner = job.job_hash == task.job.job_hash
-                        merge(job, outcome.metrics,
-                              seconds=outcome.seconds if is_owner else 0.0,
-                              hw_span=outcome.spans)
-                if outcome.ok:
-                    book.store_hw(task.stage_hash, task.job, outcome.metrics,
-                                  outcome.seconds)
-                self._check_cancel(handle)
-
-        for task, fut in attached_stages:
-            self._check_cancel(handle)
-            outcome, was_attached = self._await_future(
-                "hw:" + task.stage_hash, fut, handle,
-                compute=lambda task=task: _call(_hw_stage_kernel, task),
-            )
-            if not was_attached and outcome.ok:
-                book.store_hw(task.stage_hash, task.job, outcome.metrics,
-                              outcome.seconds)
-            for job in pending_by_hash[task.stage_hash]:
-                if not outcome.ok:
-                    fail(job, outcome.error)
-                else:
-                    merge(job, outcome.metrics,
-                          seconds=0.0 if was_attached else outcome.seconds,
-                          hw_span=None if was_attached else outcome.spans,
-                          attached=was_attached)
-        return attached_count
+def _stitch_spans(job: Job, *stages: Optional[Dict[str, Any]]) -> Optional[Dict[str, Any]]:
+    """One ``job`` span over a codesign job's quant, lift and hw stage
+    captures, which ran in different places (pools, the scheduler thread).
+    A captured ``job`` node contributes its children, a bare one itself
+    under its stage name; stages served from cache have no child. The total
+    is the sum of the children."""
+    names = ("stage:quant", "stage:lift", "stage:hw")
+    children = [
+        child
+        for name, span in zip(names, stages)
+        if span
+        for child in (span.get("children") or [dict(span, name=name)])
+    ]
+    if not children:
+        return None
+    return {
+        "name": "job",
+        "attrs": {"label": job.label, "hash": job.job_hash, "kind": "codesign",
+                  "staged": True},
+        "seconds": round(sum(float(c.get("seconds", 0.0)) for c in children), 6),
+        "children": children,
+    }

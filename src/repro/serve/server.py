@@ -61,11 +61,13 @@ from . import views
 
 __all__ = [
     "DEFAULT_PORT",
+    "LOOPBACK_HOSTS",
     "SweepServer",
     "TOKEN_ENV",
     "build_experiment_spec",
     "build_sweep_spec",
     "main",
+    "read_body",
     "start_in_thread",
 ]
 
@@ -74,12 +76,29 @@ DEFAULT_PORT = 8642
 #: Environment variable holding the shared bearer token for mutating endpoints.
 TOKEN_ENV = "REPRO_SERVE_TOKEN"
 
-_LOOPBACK_HOSTS = ("127.0.0.1", "localhost", "::1")
+#: Hosts a daemon (this one or the ``repro-dist`` coordinator) may bind
+#: without a bearer token.
+LOOPBACK_HOSTS = ("127.0.0.1", "localhost", "::1")
 
 _SWEEP_FIELDS = set(SweepSpec.__dataclass_fields__)
 _SPEC_FIELDS = set(ExperimentSpec.__dataclass_fields__)
 _PAIR_FIELDS = ("quant_kwargs", "hw_kwargs", "eval_kwargs")
 _SUBMIT_OPTIONS = {"label", "executor", "workers", "recompute"}
+
+
+def read_body(handler: BaseHTTPRequestHandler) -> bytes:
+    """The request body, sized by ``Content-Length``. A negative or
+    non-integer length is a :class:`ValueError` (400) that also closes the
+    connection: ``rfile.read(-1)`` would hold the thread until EOF."""
+    raw = handler.headers.get("Content-Length") or "0"
+    try:
+        length = int(raw)
+    except ValueError:
+        length = -1
+    if length < 0:
+        handler.close_connection = True
+        raise ValueError(f"bad Content-Length header {raw!r}")
+    return handler.rfile.read(length) if length else b""
 
 
 def _as_pairs(value: Any, field: str) -> Any:
@@ -212,10 +231,9 @@ class _Handler(BaseHTTPRequestHandler):
         self._json(code, {"error": message})
 
     def _read_json(self) -> Any:
-        length = int(self.headers.get("Content-Length") or 0)
-        if not length:
+        raw = read_body(self)
+        if not raw:
             return {}
-        raw = self.rfile.read(length)
         try:
             return json.loads(raw.decode())
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -500,7 +518,7 @@ def start_in_thread(
     without a token is refused outright rather than warned about."""
     if token is None:
         token = os.environ.get(TOKEN_ENV) or None
-    if host not in _LOOPBACK_HOSTS and not token:
+    if host not in LOOPBACK_HOSTS and not token:
         raise ValueError(
             f"refusing to bind {host!r} without authentication: set "
             f"{TOKEN_ENV} (or pass token=) to expose the service beyond "
@@ -558,7 +576,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         os.environ[TRACE_ENV] = "1"
 
     token = os.environ.get(TOKEN_ENV) or None
-    if args.host not in _LOOPBACK_HOSTS and not token:
+    if args.host not in LOOPBACK_HOSTS and not token:
         parser.error(
             f"refusing to bind {args.host!r} without authentication: set "
             f"{TOKEN_ENV} to expose the service beyond loopback"

@@ -6,6 +6,9 @@ quantized layers) are built once per test run.
 
 from __future__ import annotations
 
+import http.client
+from urllib.parse import urlparse
+
 import numpy as np
 import pytest
 
@@ -52,3 +55,17 @@ def packed_w2(weights, calib):
 @pytest.fixture(scope="session")
 def packed_w4(weights, calib):
     return quantize_matrix(weights, calib, MicroScopiQConfig(inlier_bits=4))
+
+
+def send_with_length(url: str, method: str, path: str, length: str) -> int:
+    """Send a bodiless request with a hand-set ``Content-Length`` header and
+    return the reply's status (a handler stuck reading raises a timeout)."""
+    parsed = urlparse(url)
+    conn = http.client.HTTPConnection(parsed.hostname, parsed.port, timeout=5)
+    try:
+        conn.putrequest(method, path)
+        conn.putheader("Content-Length", length)
+        conn.endheaders()
+        return conn.getresponse().status
+    finally:
+        conn.close()

@@ -50,6 +50,7 @@ from repro.pipeline.cache import ResultCache
 from repro.pipeline.executor import JobOutcome
 from repro.pipeline.runner import execute_job
 from repro.serve.client import ServeClient, ServeError
+from tests.conftest import send_with_length
 
 SMALL = dict(eval_sequences=6, eval_seq_len=16)
 
@@ -298,6 +299,13 @@ class TestCoordinatorHTTP:
         store.release("ab:h")
         assert store.claim("ab:h") is True
         assert store.clean() >= 1
+
+    @pytest.mark.parametrize("length", ["-1", "abc"])
+    @pytest.mark.parametrize(
+        "method,path", [("POST", "/api/tasks/pull"), ("PUT", "/api/blobs/" + "ab" * 8)]
+    )
+    def test_bad_content_length_is_400(self, server, method, path, length):
+        assert send_with_length(server.url, method, path, length) == 400
 
     def test_mutations_require_token(self):
         srv, _ = start_in_thread(port=0, cache_dir=None, token="sekrit")

@@ -462,6 +462,46 @@ class TestTracedSweepAcceptance:
         assert all(j["from_cache"] for j in record["jobs"])
 
 
+class TestCodesignSecondsCoverStages:
+    """Per-job ``seconds`` and ``compute_s`` of staged codesign jobs count
+    every stage a sweep computed for them, not just the hardware stage."""
+
+    def test_compute_s_covers_the_job_spans(self, tmp_path):
+        spec = SweepSpec(families=("opt-6.7b",), methods=("microscopiq",),
+                         w_bits=(2, 4), archs=("microscopiq-v2",),
+                         kind="codesign", **CHEAP)
+        result = run_sweep(spec, cache_dir=str(tmp_path), executor="serial",
+                           progress=False, trace=True)
+        assert result.ok and result.telemetry["computed"] == 2
+        record = RunLedger(tmp_path / "runs").get("last")
+        computed = {j["hash"] for j in record["jobs"] if not j["from_cache"]}
+        span_s = sum(
+            span_seconds(node) for node in record["spans"]["children"]
+            if node["attrs"]["hash"] in computed
+        )
+        assert span_s > 0
+        assert record["compute_s"] >= 0.9 * span_s
+        assert sum(j["seconds"] for j in record["jobs"]) >= 0.9 * span_s
+
+    def test_shared_quant_stage_is_credited_once(self, tmp_path):
+        """Two archs over one quant stage: the first job carries the
+        stage's seconds, the second only its own lift and simulation."""
+        spec = SweepSpec(families=("opt-6.7b",), methods=("microscopiq",),
+                         w_bits=(4,), archs=("microscopiq-v1", "microscopiq-v2"),
+                         kind="codesign", **CHEAP)
+        result = run_sweep(spec, cache_dir=str(tmp_path), executor="serial",
+                           progress=False, trace=True)
+        assert result.ok and result.telemetry["quant_stage_hits"] == 1
+        first, second = result.outcomes
+        quant_s = sum(
+            span_seconds(node) for node, _ in walk_spans(first.spans)
+            if node["name"] == "stage:quant"
+        )
+        assert quant_s > 0
+        assert first.seconds >= 0.9 * quant_s
+        assert second.seconds < 0.5 * quant_s
+
+
 class TestDisabledOverhead:
     def test_disabled_instrumentation_under_3_percent(self, tmp_path):
         """S spans × per-call no-op cost must stay < 3% of the job's time."""

@@ -64,11 +64,12 @@ def test_sweep_seed_invalidates_cache(tmp_path):
     assert result.cache_hits == 0
 
 
-def test_failures_are_reported_and_never_cached(tmp_path):
+def test_failures_are_reported_and_never_cached(tmp_path, monkeypatch):
     spec = SweepSpec(families=("opt-6.7b",), methods=("rtn",), w_bits=(2, 3), **CHEAP)
-    broken = run_sweep(
-        spec, cache_dir=str(tmp_path), executor="serial", kernel=_fail_on_w3
-    )
+    with monkeypatch.context() as patched:
+        # The scheduler dispatches its job kernel by this module-level name.
+        patched.setattr("repro.pipeline.scheduler.execute_job", _fail_on_w3)
+        broken = run_sweep(spec, cache_dir=str(tmp_path), executor="serial")
     assert not broken.ok
     assert len(broken.failures()) == 1
     assert broken.failures()[0].error["type"] == "ValueError"

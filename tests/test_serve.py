@@ -29,6 +29,7 @@ from repro.pipeline.cli import main as cli_main
 from repro.pipeline.scheduler import SweepCancelled, SweepScheduler, sweep_digest
 from repro.serve import ServeClient, ServeError, build_sweep_spec, start_in_thread
 from repro.serve.client import sweep_to_payload
+from tests.conftest import send_with_length
 
 SMALL = dict(eval_sequences=6, eval_seq_len=16)
 
@@ -164,6 +165,62 @@ class TestInflightDedup:
         assert delta.get("hessian.store.factorizations") == one_run_cost
         assert rb.telemetry["computed"] == 0
 
+    @pytest.mark.parametrize("kind", ["accuracy", "codesign"])
+    def test_abandoned_claim_is_recovered(self, tmp_path, scheduler, kind):
+        """A holds its claims and is cancelled; B, attached to them,
+        recomputes and matches a serial run. The accuracy case holds a job
+        key; the codesign case finds its quant stage cached, so the only
+        claim is the ``hw:`` stage key."""
+        spec = small_spec(methods=("microscopiq",))
+        if kind == "codesign":
+            run_sweep(spec, cache_dir=tmp_path / "cache", executor="serial")
+            spec = small_spec(methods=("microscopiq",), archs=("microscopiq-v2",),
+                              kind="codesign")
+        hold = threading.Event()
+        a = scheduler.submit(spec, hold=hold)
+        assert a.claimed.wait(timeout=60), "A never placed its claims"
+        b = scheduler.submit(spec)
+        assert b.claimed.wait(timeout=60), "B never placed its claims"
+        assert not b.finished.wait(timeout=0.3)  # attached to A's held claim
+        assert a.cancel()
+        rb = b.result(timeout=120)
+        assert a.wait(timeout=30) == "cancelled"
+
+        assert rb.telemetry["inflight_dedup"] == 1
+        assert rb.telemetry["computed"] == 1 and rb.telemetry["attached"] == 0
+        assert rb.telemetry["quant_stage_hits"] == (kind == "codesign")
+        reference = run_sweep(spec, cache_dir=tmp_path / "ref", executor="serial")
+        assert rb.metrics_by_hash() == reference.metrics_by_hash()
+
+    def test_concurrent_codesign_submissions_share_hw_stage(
+        self, tmp_path, scheduler
+    ):
+        """Two codesign submissions over a cached quant stage: B attaches to
+        the hardware stage A holds in flight, and both get A's result."""
+        run_sweep(small_spec(methods=("microscopiq",)),
+                  cache_dir=tmp_path / "cache", executor="serial")
+        spec = small_spec(methods=("microscopiq",), archs=("microscopiq-v2",),
+                          kind="codesign")
+        hold = threading.Event()
+        before = METRICS.snapshot()
+        a = scheduler.submit(spec, hold=hold)
+        assert a.claimed.wait(timeout=60)
+        b = scheduler.submit(spec)
+        assert b.claimed.wait(timeout=60)
+        hold.set()
+        ra = a.result(timeout=120)
+        rb = b.result(timeout=120)
+
+        assert METRICS.delta(before).get("pipeline.inflight_dedup") == 1
+        assert ra.telemetry["inflight_dedup"] == 0
+        assert rb.telemetry["inflight_dedup"] == 1
+        assert ra.telemetry["computed"] == 1
+        assert rb.telemetry["attached"] == 1 and rb.telemetry["computed"] == 0
+        assert ra.metrics_by_hash() == rb.metrics_by_hash()
+        [outcome] = rb.outcomes
+        stage = ResultCache(tmp_path / "cache").get(outcome.metrics["hw_stage_hash"])
+        assert stage["stage"] == "codesign-hw"
+
     def test_dedup_across_http_and_direct_clients(self, server):
         """The hybrid case from the issue: one client holds a submission via
         the scheduler, a second identical submission arrives over HTTP."""
@@ -239,6 +296,10 @@ class TestValidation:
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(req)
         assert err.value.code == 400
+
+    @pytest.mark.parametrize("length", ["-1", "abc"])
+    def test_bad_content_length_is_400(self, server, length):
+        assert send_with_length(server.url, "POST", "/api/sweeps", length) == 400
 
     def test_unknown_sweep_is_404_and_result_conflict_is_409(self, server):
         client = ServeClient(server.url)
